@@ -114,7 +114,7 @@ def run_fleet_size(
         cache_dir=cache_dir,
         queue_capacity=queue_capacity,
         lease_ttl=5.0,
-        default_backend="batch",
+        default_backend="event",
         obs=ObsOptions.for_trace(trace_dir, trace_epochs=False),
     ).start()
     fleet_workers = []

@@ -53,7 +53,8 @@ def main(argv: list[str] | None = None) -> int:
     spec = JobSpec(workload=args.workload, fault=f"kill@{args.kill_at}")
     print(
         f"fault smoke: sharded x{args.shards}, checkpoint every "
-        f"{args.checkpoint_every}, kill@{args.kill_at} (shard-relative) ..."
+        f"{args.checkpoint_every}, kill@{args.kill_at} "
+        "(absolute trace position) ..."
     )
     report = runner.run_sharded(
         spec, args.shards, checkpoint_every=args.checkpoint_every,

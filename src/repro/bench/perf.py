@@ -265,22 +265,15 @@ def run_backend_bench(
     """Measure every execution backend over the tracked profile set.
 
     Runs :func:`run_core_bench` once per backend (defaulting to every
-    registered backend whose dependencies are importable — ``batch`` is
-    skipped, and recorded as skipped, when numpy is missing) and reports
-    per-backend profiles/aggregates plus geomean speedups relative to the
-    ``reference`` section.
+    registered backend) and reports per-backend profiles/aggregates plus
+    geomean speedups relative to the ``reference`` section.
     """
     from ..core.backend import backend_names
-    from ..core.backends.batch import numpy_available
 
     if backends is None:
         backends = sorted(backend_names(), key=lambda n: (n != "reference", n))
     sections: Dict[str, Dict[str, Any]] = {}
-    skipped: List[str] = []
     for name in backends:
-        if name == "batch" and not numpy_available():
-            skipped.append(name)
-            continue
         if verbose:
             print(f"backend {name}:")
         report = run_core_bench(
@@ -311,7 +304,6 @@ def run_backend_bench(
         },
         "python": platform.python_version(),
         "backends": sections,
-        "skipped": skipped,
         "speedup_vs_reference_geomean": speedups,
     }
 
@@ -326,7 +318,7 @@ def check_backends_regression(
     Each backend section carries the same ``profiles``/``aggregate`` shape
     as a core-bench report, so the per-profile and geomean thresholds are
     applied within every backend present in both reports.  Backends in only
-    one report are ignored (e.g. ``batch`` skipped where numpy is absent).
+    one report are ignored.
     """
     failures: List[str] = []
     for name, base_section in baseline.get("backends", {}).items():
@@ -426,8 +418,6 @@ def _backends_main(
             f"  {name:12s} geomean {geo:12.0f} insts/s "
             f"({speedup:.2f}x vs reference)"
         )
-    for name in report["skipped"]:
-        print(f"  {name:12s} skipped (missing optional dependency)")
 
     if baseline is not None:
         committed = load_report(baseline)

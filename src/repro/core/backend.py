@@ -31,10 +31,6 @@ Registered implementations:
     Event-driven epoch scanning (:mod:`repro.core.backends.events`): a
     precomputed next-interesting-position table lets quiescent spans be
     skipped in O(1) instead of iterated.
-``batch``
-    A numpy struct-of-arrays lockstep kernel
-    (:mod:`repro.core.backends.batch`) advancing N independent simulations
-    together; requires the optional ``fast`` extra (numpy).
 
 Backend selection threads through every layer (api, CLI ``--backend``,
 engine job specs, service protocol).  ``resolve_backend(None)`` honours the
@@ -350,9 +346,7 @@ def resolve_backend(name: Optional[str] = None) -> Backend:
     """Resolve *name* (or ``$REPRO_BACKEND``, or the default) to a backend.
 
     Raises :class:`~repro.errors.UnknownBackendError` for anything not
-    registered; availability of optional dependencies is checked at
-    ``prepare``/``simulate`` time, not here, so a missing numpy fails the
-    run that needs it rather than the name lookup.
+    registered.
     """
     _ensure_builtins()
     chosen = name or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND

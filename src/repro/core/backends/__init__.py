@@ -1,20 +1,15 @@
 """Built-in execution backends.
 
-Importing this package registers the ``event`` and ``batch`` backends with
+Importing this package registers the ``event`` backend with
 :mod:`repro.core.backend`'s registry (``reference`` registers itself when
-the interface module loads).  The batch backend *registers* even when numpy
-is absent — name resolution and the service protocol's validation must see
-it — and raises :class:`~repro.errors.BackendUnavailableError` only when
-asked to run.
+the interface module loads).
 """
 
 from __future__ import annotations
 
 from ..backend import register_backend
-from .batch import BatchBackend
 from .events import EventBackend
 
-__all__ = ["BatchBackend", "EventBackend"]
+__all__ = ["EventBackend"]
 
 register_backend(EventBackend())
-register_backend(BatchBackend())

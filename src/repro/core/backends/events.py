@@ -154,8 +154,8 @@ class EventSimulator(MlpSimulator):
     def install_tables(
         self, trace: AnnotatedTrace, tables: SkipTables
     ) -> None:
-        """Adopt precomputed tables for *trace* (the batch backend shares
-        one build across all lanes replaying the same trace)."""
+        """Adopt precomputed tables for *trace* (the backend shares one
+        build across every run replaying the same trace)."""
         if tables.n != len(trace):
             raise ValueError(
                 f"skip tables cover {tables.n} instructions, "

@@ -142,14 +142,6 @@ class UnknownBackendError(BackendError, ValueError):
     code = "backend-unknown"
 
 
-class BackendUnavailableError(BackendError):
-    """A registered backend cannot run because an optional dependency is
-    missing (e.g. the ``batch`` backend without numpy — install the
-    ``fast`` extra: ``pip install repro[fast]``)."""
-
-    code = "backend-unavailable"
-
-
 class FleetError(ReproError):
     """A fleet-level coordination failure (registration, leasing, routing)."""
 

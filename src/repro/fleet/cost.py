@@ -24,21 +24,16 @@ rate (units/second) to compute a defensible ``Retry-After``.
 
 Backends scale the estimate down by their measured speedups over the
 reference loop; shard spans scale it by the fraction of the trace they
-cover.  Speedups come from the committed ``BENCH_backends.json`` when it
-is readable (``$REPRO_BENCH_BACKENDS`` overrides the path) and degrade
-gracefully to the documented defaults in :data:`_BACKEND_SPEEDUP` when
-the file is absent or malformed; a backend known to neither gets the
+cover.  Speedups are the constants in :data:`_BACKEND_SPEEDUP`, taken from
+the committed ``BENCH_backends.json``; an unknown backend gets the
 reference charge of 1.0 — overestimating is the safe direction for both
-admission control and the tuner's pruning, which now also builds on this
+admission control and the tuner's pruning, which also builds on this
 module's epoch model (:func:`epochs_per_inst`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..estimate import epochs_per_inst
@@ -51,7 +46,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CostEstimate",
     "backend_speedup",
-    "backend_speedups",
     "epochs_per_inst",
     "estimate_job_cost",
 ]
@@ -63,71 +57,19 @@ _EPOCH_CHARGE = 14.0
 _MISS_CHARGE = 6.0
 _LOCK_CHARGE = 3.0
 
-#: Documented default throughput multipliers by effective backend
-#: (reference = 1), used whenever BENCH_backends.json is absent or
-#: unreadable.  Unknown backends fall back to the reference charge —
+#: Throughput multipliers by effective backend, measured against the
+#: reference loop (the ``speedup_vs_reference_geomean`` of
+#: BENCH_backends.json).  Unknown backends get the reference charge —
 #: overestimating is the safe direction for admission control.
 _BACKEND_SPEEDUP: Dict[str, float] = {
     "reference": 1.0,
-    "event": 3.6,
-    "batch": 4.8,
+    "event": 2.15,
 }
 
-#: Environment override for the benchmark report the speedups load from.
-_BENCH_ENV = "REPRO_BENCH_BACKENDS"
 
-#: Cache of (path, loaded speedups); invalidated by :func:`_reset_speedups`.
-_SPEEDUP_CACHE: Dict[str, Dict[str, float]] = {}
-
-
-def _reset_speedups() -> None:
-    """Drop the loaded-speedup cache (tests poke the path/env)."""
-    _SPEEDUP_CACHE.clear()
-
-
-def backend_speedups(path: "str | Path | None" = None) -> Dict[str, float]:
-    """Per-backend speedups vs the reference loop, measured if possible.
-
-    Reads the committed ``BENCH_backends.json`` matrix report (*path*,
-    else ``$REPRO_BENCH_BACKENDS``, else ``BENCH_backends.json`` in the
-    working directory) and derives each backend's speedup as the ratio of
-    its aggregate instructions/sec geomean to the reference backend's.
-    Every failure mode — file absent, unparseable JSON, missing
-    aggregates, zero reference throughput — degrades to the documented
-    defaults in :data:`_BACKEND_SPEEDUP`; backends the file does not
-    report keep their default (or are simply absent, in which case
-    :func:`backend_speedup` charges them as reference).
-    """
-    resolved = str(
-        path if path is not None
-        else os.environ.get(_BENCH_ENV) or "BENCH_backends.json"
-    )
-    cached = _SPEEDUP_CACHE.get(resolved)
-    if cached is not None:
-        return cached
-    speedups = dict(_BACKEND_SPEEDUP)
-    try:
-        with open(resolved, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        backends = report["backends"]
-        reference = float(
-            backends["reference"]["aggregate"]["instructions_per_sec_geomean"]
-        )
-        if reference <= 0:
-            raise ValueError("non-positive reference throughput")
-        for name, entry in backends.items():
-            rate = float(entry["aggregate"]["instructions_per_sec_geomean"])
-            if rate > 0:
-                speedups[name] = rate / reference
-    except (OSError, ValueError, KeyError, TypeError):
-        speedups = dict(_BACKEND_SPEEDUP)
-    _SPEEDUP_CACHE[resolved] = speedups
-    return speedups
-
-
-def backend_speedup(backend: str, path: "str | Path | None" = None) -> float:
+def backend_speedup(backend: str) -> float:
     """The speedup for one *backend*; 1.0 (reference charge) if unknown."""
-    return backend_speedups(path).get(backend, 1.0)
+    return _BACKEND_SPEEDUP.get(backend, 1.0)
 
 
 @dataclass(frozen=True)

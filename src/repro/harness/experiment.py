@@ -317,9 +317,9 @@ class Workbench:
         *observer* (e.g. an :class:`repro.obs.EpochTimelineRecorder`)
         attaches to the simulator run; ``None`` keeps the unobserved hot
         path.  *backend* selects the execution backend (``"reference"``,
-        ``"event"``, ``"batch"``); ``None`` defers to ``$REPRO_BACKEND``
-        and then the default.  Every backend returns a bit-identical
-        result, so the choice never changes what is measured.
+        ``"event"``); ``None`` defers to ``$REPRO_BACKEND`` and then the
+        default.  Every backend returns a bit-identical result, so the
+        choice never changes what is measured.
         """
         annotated = self.annotated(workload, variant, memory_config, sharing, tag)
         config = self.resolved_config(workload, variant, config, **core_changes)

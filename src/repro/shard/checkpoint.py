@@ -18,7 +18,8 @@ never resumed into a silently wrong state.
 :class:`FaultInjector` interprets ``JobSpec.fault`` strings for the
 recovery tests and the CI fault-injection smoke:
 
-- ``"kill@M"`` — at the first checkpoint at or past position *M*, persist
+- ``"kill@M"`` — at the first checkpoint at or past the absolute trace
+  position *M* (only in the shard whose span holds *M*), persist
   the checkpoint, then kill the executing attempt (``os._exit`` in a pool
   worker, an exception on the serial path).
 - ``"corrupt@M"`` — same trigger, but the persisted record is tampered
@@ -175,19 +176,29 @@ _FIRED_IN_PROCESS: set = set()
 class FaultInjector:
     """Interprets a ``JobSpec.fault`` string at checkpoint time.
 
-    Grammar: ``""`` (no fault), ``"kill@M"`` or ``"corrupt@M"`` with *M* a
-    trace position.  The fault fires at the first checkpoint whose snapshot
-    position is at or past *M*, exactly once per (fault, token) — the
-    marker file lives next to the cache so the firing survives the worker's
-    death.
+    Grammar: ``""`` (no fault), ``"kill@M"`` or ``"corrupt@M"`` with *M* an
+    absolute trace position.  The injector belongs to the shard spanning
+    ``[start:stop)`` (``stop=None`` is the natural end) and is armed only
+    when that span holds *M*, so one fault fires in one shard.  It fires at
+    the first checkpoint whose absolute position (``start`` plus the
+    shard-relative snapshot position) is at or past *M*, exactly once per
+    (fault, token) — the marker file lives next to the cache so the firing
+    survives the worker's death.
     """
 
     def __init__(
         self, fault: str, cache: ArtifactCache, token: str,
+        start: int = 0, stop: Optional[int] = None,
     ) -> None:
         self.kind, self.at = self._parse(fault)
         self.cache = cache
         self.token = token
+        self.start = start
+        self.armed = (
+            bool(self.kind)
+            and start <= self.at
+            and (stop is None or self.at < stop)
+        )
 
     @staticmethod
     def _parse(fault: str) -> Tuple[str, int]:
@@ -206,10 +217,6 @@ class FaultInjector:
                 f"fault position in {fault!r} must be an integer"
             ) from None
         return kind, position
-
-    @property
-    def armed(self) -> bool:
-        return bool(self.kind)
 
     def _marker(self) -> Optional[str]:
         if self.cache.directory is None:
@@ -239,16 +246,18 @@ class FaultInjector:
         """True when this checkpoint save should be tampered (claims the
         firing; the caller must follow up with :meth:`terminate`)."""
         return (
-            self.kind == "corrupt"
-            and snapshot.pos >= self.at
+            self.armed
+            and self.kind == "corrupt"
+            and self.start + snapshot.pos >= self.at
             and self._fire_once()
         )
 
     def should_kill(self, snapshot: SimulatorSnapshot) -> bool:
         """True when the attempt should die after this checkpoint save."""
         return (
-            self.kind == "kill"
-            and snapshot.pos >= self.at
+            self.armed
+            and self.kind == "kill"
+            and self.start + snapshot.pos >= self.at
             and self._fire_once()
         )
 

@@ -152,7 +152,7 @@ def run_shard_job(
                 )
 
     injector = (
-        FaultInjector(spec.fault, bench.artifacts, token)
+        FaultInjector(spec.fault, bench.artifacts, token, start, stop)
         if spec.fault else None
     )
     written = 0

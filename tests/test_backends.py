@@ -1,17 +1,15 @@
-"""Pluggable execution backends: registry, gating, and bit-identity.
+"""Pluggable execution backends: registry and bit-identity.
 
 The contract under test is the strongest one the subsystem makes: every
 backend returns a :class:`~repro.core.results.SimulationResult` that is
 field-for-field equal to the reference tick loop — on curated workload
 variants, on seeded random configurations over seeded random traces, and
-under sharding and checkpoint/resume.  The ``batch`` backend additionally
-needs numpy (the ``fast`` extra); its tests skip, not fail, without it.
+under sharding and checkpoint/resume.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -32,24 +30,12 @@ from repro.core.backend import (
     backend_names,
     resolve_backend,
 )
-from repro.core.backends.batch import (
-    BatchLane,
-    LockstepBatch,
-    build_skip_tables_np,
-    numpy_available,
-    require_numpy,
-)
-from repro.core.backends.events import build_skip_tables
-from repro.errors import BackendUnavailableError, UnknownBackendError
+from repro.cli import main as cli_main
+from repro.errors import UnknownBackendError
 from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
 from repro.harness.figures import smac_memory_config
 from repro.isa import InstructionClass as IC
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(),
-    reason="numpy not installed (pip install 'repro[fast]')",
-)
 
 TINY = ExperimentSettings(warmup=1000, measure=3000, seed=7,
                           calibrate=False)
@@ -62,10 +48,7 @@ TRACE_COUNT = 4
 
 
 def _alternative_backends():
-    names = ["event"]
-    if numpy_available():
-        names.append("batch")
-    return names
+    return [name for name in backend_names() if name != "reference"]
 
 
 @pytest.fixture(autouse=True)
@@ -91,7 +74,7 @@ class TestRegistry:
         assert resolve_backend(None).name == "reference"
 
     def test_builtins_registered(self):
-        assert backend_names() == ("batch", "event", "reference")
+        assert backend_names() == ("event", "reference")
         for name in backend_names():
             backend = resolve_backend(name)
             assert isinstance(backend, Backend)
@@ -116,50 +99,6 @@ class TestRegistry:
         monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
         with pytest.raises(UnknownBackendError):
             resolve_backend()
-
-
-# ------------------------------------------------------------ numpy gating --
-
-
-class TestNumpyGating:
-    def test_available_path(self):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
-        assert require_numpy().__name__ == "numpy"
-
-    def test_unavailable_is_structured(self, monkeypatch):
-        # Hiding numpy behind a None module entry makes ``import numpy``
-        # raise ImportError without uninstalling anything.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert not numpy_available()
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            require_numpy()
-        assert excinfo.value.code == "backend-unavailable"
-        assert "repro[fast]" in str(excinfo.value)
-
-    def test_batch_registers_without_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert "batch" in backend_names()
-        backend = resolve_backend("batch")
-        trace = [annotated(IC.ALU), annotated(IC.STORE, miss=True)]
-        with pytest.raises(BackendUnavailableError):
-            backend.prepare(SimulationConfig(), trace)
-
-
-# ----------------------------------------------------------- table builders --
-
-
-@needs_numpy
-class TestTableParity:
-    def test_numpy_tables_match_reference_builder(self):
-        rng = random.Random(SEED)
-        trace = _random_trace(rng, 400)
-        plain = build_skip_tables(trace)
-        vectorized = build_skip_tables_np(trace)
-        assert vectorized.n == plain.n
-        assert vectorized.next_plain == plain.next_plain
-        assert vectorized.next_barrier == plain.next_barrier
-        assert vectorized.store_prefix == plain.store_prefix
 
 
 # ----------------------------------------------- workload-level differential --
@@ -337,39 +276,6 @@ class TestEndToEnd:
             assert records == golden, f"sweep via {name!r} diverged"
 
 
-@needs_numpy
-class TestLockstepBatch:
-    def test_lanes_match_serial_results(self, bench):
-        trace = bench.annotated("database", "pc")
-        configs = [
-            bench.resolved_config("database", "pc", store_queue=queue)
-            for queue in (16, 32, 64)
-        ]
-        lanes = [BatchLane(config=config, trace=trace, tag=index)
-                 for index, config in enumerate(configs)]
-        outcomes = LockstepBatch(lanes).run()
-        assert [outcome.tag for outcome in outcomes] == [0, 1, 2]
-        for config, outcome in zip(configs, outcomes):
-            assert outcome.ok, outcome.error
-            assert outcome.result == MlpSimulator(config).run(trace)
-
-    def test_failed_lane_does_not_poison_siblings(self, bench):
-        trace = bench.annotated("database", "pc")
-        config = bench.resolved_config("database", "pc")
-        lanes = [
-            BatchLane(config=config, trace=trace, tag="ok"),
-            # A nonsense resume snapshot fails this lane at construction.
-            BatchLane(config=config, trace=trace, tag="bad",
-                      kwargs={"resume": object()}),
-        ]
-        outcomes = LockstepBatch(lanes).run()
-        by_tag = {outcome.tag: outcome for outcome in outcomes}
-        assert not by_tag["bad"].ok
-        assert by_tag["bad"].error is not None
-        assert by_tag["ok"].ok
-        assert by_tag["ok"].result == MlpSimulator(config).run(trace)
-
-
 # ------------------------------------------------------------ wire protocol --
 
 
@@ -410,3 +316,30 @@ class TestServiceProtocol:
                 "kind": "figure", "figure": "figure2", "backend": "event",
             })
         assert excinfo.value.status == 400
+
+
+@pytest.mark.parametrize("surface", ["api", "cli", "protocol"])
+def test_removed_batch_backend_is_rejected(surface, capsys):
+    from repro.service.protocol import ProtocolError, parse_job_request
+
+    if surface == "api":
+        with pytest.raises(UnknownBackendError) as excinfo:
+            api.run("database", settings=TINY, cache_dir=None,
+                    backend="batch")
+        message = str(excinfo.value)
+    elif surface == "cli":
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "--workload", "database", "--backend", "batch"])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_job_request({
+                "kind": "simulate", "backend": "batch",
+                "job": {"workload": "database"},
+            })
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+    assert "'batch'" in message
+    for name in ("event", "reference"):
+        assert name in message

@@ -7,18 +7,14 @@ estimate by their measured speedups, and shard spans prorate linearly.
 
 from __future__ import annotations
 
-import pytest
-
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.engine.runner import JobSpec
 from repro.fleet import estimate_job_cost
-from repro.fleet.cost import (
-    _BACKEND_SPEEDUP,
-    _reset_speedups,
-    backend_speedup,
-    backend_speedups,
-)
+from repro.fleet.cost import _BACKEND_SPEEDUP, backend_speedup
 from repro.harness import ExperimentSettings
 from repro.workloads import WORKLOADS
 
@@ -48,20 +44,11 @@ class TestEstimate:
         assert double.units == pytest.approx(2.0 * small.units)
 
     def test_backend_speedup_divides_cost(self):
-        # Whatever speedups are in effect (measured from the committed
-        # BENCH_backends.json, or the documented defaults when it is
-        # absent), the cost divides by exactly that factor.
-        speedups = backend_speedups()
         reference = _cost(workload="database")
-        batch = _cost(workload="database", backend="batch")
         event = _cost(workload="database", backend="event")
         assert reference.units == pytest.approx(
-            batch.units * speedups["batch"],
+            event.units * _BACKEND_SPEEDUP["event"],
         )
-        assert reference.units == pytest.approx(
-            event.units * speedups["event"],
-        )
-        assert batch.units < reference.units
         assert event.units < reference.units
 
     def test_unknown_backend_charged_as_reference(self):
@@ -119,54 +106,15 @@ class TestEstimate:
 
 
 class TestBackendSpeedups:
-    """backend_speedups degrades gracefully when the report is unusable."""
+    def test_speedups_match_committed_bench(self):
+        # The routing constants must stay within 10% of the committed
+        # backend matrix they were measured from.
+        path = Path(__file__).resolve().parents[1] / "BENCH_backends.json"
+        measured = json.loads(path.read_text(encoding="utf-8"))[
+            "speedup_vs_reference_geomean"
+        ]
+        for name, speedup in _BACKEND_SPEEDUP.items():
+            assert speedup == pytest.approx(measured[name], rel=0.10), name
 
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        _reset_speedups()
-        yield
-        _reset_speedups()
-
-    def _report(self, tmp_path, rates):
-        path = tmp_path / "BENCH_backends.json"
-        path.write_text(json.dumps({
-            "backends": {
-                name: {"aggregate": {"instructions_per_sec_geomean": rate}}
-                for name, rate in rates.items()
-            },
-        }), encoding="utf-8")
-        return path
-
-    def test_missing_report_falls_back_to_defaults(self, tmp_path):
-        speedups = backend_speedups(tmp_path / "does-not-exist.json")
-        assert speedups == _BACKEND_SPEEDUP
-
-    def test_malformed_json_falls_back_to_defaults(self, tmp_path):
-        path = tmp_path / "BENCH_backends.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert backend_speedups(path) == _BACKEND_SPEEDUP
-
-    def test_missing_aggregates_fall_back_to_defaults(self, tmp_path):
-        path = tmp_path / "BENCH_backends.json"
-        path.write_text(json.dumps({"backends": {"reference": {}}}),
-                        encoding="utf-8")
-        assert backend_speedups(path) == _BACKEND_SPEEDUP
-
-    def test_zero_reference_throughput_falls_back(self, tmp_path):
-        path = self._report(tmp_path, {"reference": 0.0, "batch": 5e6})
-        assert backend_speedups(path) == _BACKEND_SPEEDUP
-
-    def test_measured_ratios_override_defaults(self, tmp_path):
-        path = self._report(tmp_path, {"reference": 1e6, "batch": 5e6})
-        speedups = backend_speedups(path)
-        assert speedups["batch"] == pytest.approx(5.0)
-        # A backend the report does not cover keeps its documented default.
-        assert speedups["event"] == _BACKEND_SPEEDUP["event"]
-
-    def test_env_var_selects_report(self, tmp_path, monkeypatch):
-        path = self._report(tmp_path, {"reference": 1e6, "event": 2e6})
-        monkeypatch.setenv("REPRO_BENCH_BACKENDS", str(path))
-        assert backend_speedup("event") == pytest.approx(2.0)
-
-    def test_unknown_backend_charged_as_reference(self, tmp_path):
-        assert backend_speedup("quantum", tmp_path / "nope.json") == 1.0
+    def test_unknown_backend_charged_as_reference(self):
+        assert backend_speedup("quantum") == 1.0

@@ -122,7 +122,7 @@ class TestFleetExecution:
         receipt = client.submit({
             "kind": "simulate",
             "job": {"workload": "database", "variant": "pc"},
-            "backend": "batch",
+            "backend": "event",
         })
         status = client.wait(receipt["id"], timeout=120)
         assert status["state"] == "done"
@@ -140,7 +140,7 @@ class TestFleetExecution:
                 "variant": "pc",
                 "axes": {"store_queue": [8, 16]},
             },
-            "backend": "batch",
+            "backend": "event",
         })
         status = client.wait(receipt["id"], timeout=180)
         assert status["state"] == "done"
@@ -192,7 +192,10 @@ class TestFleetExecution:
         runner = EngineRunner(
             settings=SMALL, cache_dir=str(cache_dir), workers=1, retries=0,
         )
-        doomed = dataclasses.replace(spec, fault="kill@600")
+        # Fault positions are absolute: aim inside the leased shard.
+        doomed = dataclasses.replace(
+            spec, fault=f"kill@{spec.shard_start + 600}",
+        )
         outcome = runner.run([doomed]).jobs[0]
         assert not outcome.ok
         # The kill fired at checkpoint-save time, so the failed attempt
@@ -227,7 +230,7 @@ class TestFleetExecution:
                 "workload": "database", "variant": "pc",
                 "core_changes": {"store_queue": 24},
             },
-            "backend": "batch",
+            "backend": "event",
         }
         fleet = fleet_factory(workers=1)
         client = fleet.client()
@@ -310,8 +313,10 @@ class TestFleetObservability:
             settings=SMALL, cache_dir=str(cache_dir), workers=1, retries=0,
             obs=obs,
         )
+        leased = serialize.from_jsonable(entry["spec"])
+        # Fault positions are absolute: aim inside the leased shard.
         doomed = dataclasses.replace(
-            serialize.from_jsonable(entry["spec"]), fault="kill@600",
+            leased, fault=f"kill@{leased.shard_start + 600}",
         )
         with trace_context(entry["traceparent"]):
             outcome = runner.run([doomed]).jobs[0]
@@ -363,7 +368,7 @@ class TestFleetObservability:
                 "variant": "pc",
                 "axes": {"store_queue": [40, 48]},
             },
-            "backend": "batch",
+            "backend": "event",
         })
         assert client.wait(receipt["id"], timeout=180)["state"] == "done"
 
@@ -666,7 +671,7 @@ class TestFleetDrain:
                 "workload": "database", "variant": "pc",
                 "core_changes": {"store_queue": 32},
             },
-            "backend": "batch",
+            "backend": "event",
         })
         abandoned = fleet.coord.drain(timeout=120.0)
         assert abandoned == 0

@@ -121,3 +121,19 @@ class TestCommittedReport:
         report = load_report(path)
         assert "baseline" in report
         assert report["speedup_vs_baseline"] >= 1.5
+
+    def test_backend_gate_replays_committed_matrix(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        from repro.bench import perf
+        from repro.core.backend import backend_names
+
+        path = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
+        committed = load_report(path)
+        assert set(committed["backends"]) == set(backend_names())
+        # Replaying the committed numbers through `bench --perf --backend
+        # all` must pass the gate and rewrite the file byte for byte.
+        monkeypatch.setattr(perf, "run_backend_bench", lambda **_: committed)
+        out = tmp_path / "BENCH_backends.json"
+        assert perf.main(backend="all", baseline=str(path), out=str(out)) == 0
+        assert out.read_text() == path.read_text()

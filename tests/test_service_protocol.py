@@ -221,7 +221,7 @@ class TestWireRoundTrips:
         request = parse_job_request({
             "kind": "tune",
             "priority": 1,
-            "backend": "batch",
+            "backend": "event",
             "tune": {"workload": "tpcw", "variant": "wc",
                      "strategy": "genetic", "budget": 12, "seed": 11,
                      "space": {"scout": ["hws0", "hws1"],

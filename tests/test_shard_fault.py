@@ -70,6 +70,21 @@ class TestKillRecovery:
         assert report.rounds >= 2  # the kill broke the whole pool round
         assert any(job.resumed_pos >= 0 for job in report.jobs)
 
+    def test_kill_fires_in_exactly_one_shard(self, tmp_path, golden):
+        # kill@M names an absolute trace position: only the shard whose
+        # span holds M arms the fault, so exactly one marker appears.
+        runner = _runner(tmp_path, workers=2)
+        spec = JobSpec(workload="database", fault="kill@1200")
+        report = runner.run_sharded(spec, 2, checkpoint_every=500)
+        report.raise_on_failure()
+        assert report.merged == golden
+        faults = ArtifactCache(tmp_path / "cache").directory / "faults"
+        assert len(list(faults.glob("*.fired"))) == 1
+        # The shard that resumed in a later round keeps the attempts of
+        # the round it died in.
+        resumed = [job for job in report.jobs if job.resumed_pos >= 0]
+        assert resumed and all(job.attempts >= 2 for job in resumed)
+
     def test_fault_exhausting_retries_fails_cleanly(self, tmp_path):
         # without checkpoints the retry restarts from scratch and the
         # fire-once marker lets it through -- so force repeated firing by
