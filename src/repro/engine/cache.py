@@ -1,21 +1,32 @@
 """Content-addressed artifact cache: in-memory LRU over a pickle store.
 
 Every expensive pipeline stage (calibrated profiles, generated traces,
-annotated traces) is keyed by a SHA-256 hash of the *content* that produced
-it — the workload profile, experiment settings, trace variant and
-memory-side configuration — so a key can never serve a stale artifact: any
-input change changes the key.  Values flow through two tiers:
+annotated traces and the memory systems that annotated them) is keyed by a
+SHA-256 hash of the *content* that produced it — the workload profile,
+experiment settings, trace variant and memory-side configuration — so a
+key can never serve a stale artifact: any input change changes the key.
+Values flow through two tiers:
 
 1. an in-memory LRU (object identity preserved within a process), and
 2. an optional on-disk pickle store (shared between processes and runs).
 
+The store pickles whatever it is given; the values decide their own form.
+The Workbench stores ``trace`` and ``annotation`` artifacts as
+:mod:`repro.trace.columns` lists, which pickle as struct-of-arrays columns
+(~31 bytes per annotated instruction instead of ~77) and unpickle with the
+cyclic garbage collector paused.  The ``memory`` kind holds the
+``MemorySystem`` of an annotation under the annotation's key, apart from
+it, so a run that only simulates never loads it.
+
 Disk writes are atomic (temp file + ``os.replace``), so parallel workers
 racing to fill the same key are safe: last writer wins and every reader
-sees either nothing or a complete artifact.  Unreadable or truncated
-entries are treated as misses and deleted.
+sees either nothing or a complete artifact.  Unreadable, truncated or
+damaged entries (a decoder that rejects its columns raises
+``pickle.UnpicklingError``) are treated as misses and deleted.
 
 ``SCHEMA_SALT`` versions the key space; bump it whenever the pipeline's
-semantics change so old cache directories are ignored rather than trusted.
+semantics or an artifact's stored form change, so old cache directories
+are ignored rather than trusted.
 """
 
 from __future__ import annotations
@@ -32,8 +43,10 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: Bump when trace generation / annotation semantics change incompatibly.
-SCHEMA_SALT = "repro-artifacts-v1"
+#: Bump when trace generation / annotation semantics or an artifact's
+#: stored form change incompatibly.  v2: columnar traces and annotations,
+#: memory systems under their own ``memory`` kind.
+SCHEMA_SALT = "repro-artifacts-v2"
 
 #: Internal miss marker: distinguishes "no entry" from a cached ``None``
 #: (a ``None``-returning factory is a legitimate artifact and must not be

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import (
     ConsistencyModel,
@@ -52,6 +52,7 @@ from ..isa import Instruction
 from ..locks import apply_sle, apply_transactional_memory, rewrite_pc_to_wc
 from ..memory import AnnotatedTrace, MemorySystem, annotate_trace
 from ..multiproc import MultiChipSystem, SharingModel
+from ..trace.columns import ColumnarAnnotation, ColumnarTrace
 from ..workloads import WORKLOADS, WorkloadProfile, calibrate_profile
 from ..workloads.generator import WorkloadGenerator
 
@@ -101,7 +102,13 @@ class Workbench:
             resolve_cache_dir(cache_dir), memory_entries=memory_entries,
         )
         self._profiles: Dict[str, WorkloadProfile] = {}
-        self._memories: Dict[tuple, MemorySystem] = {}
+        #: (workload, variant, tag, sharing) -> the content key of the last
+        #: annotation made under that name, and the arguments that rebuild
+        #: it.  :meth:`memory_for` resolves names through this map.  (Plain
+        #: data, not a closure over ``self``: a reference cycle would keep
+        #: every dropped Workbench and its in-memory artifacts alive until
+        #: a full collection.)
+        self._annotations: Dict[tuple, Tuple[str, tuple]] = {}
 
     # -- profiles / traces ----------------------------------------------------
 
@@ -132,13 +139,13 @@ class Workbench:
 
         Content addressing makes downstream artifacts self-invalidating —
         the new profile hashes to new trace/annotation keys — so only the
-        memory-system lookaside (which is keyed by name for
-        :meth:`memory_for`) needs explicit dropping.
+        by-name annotation map of :meth:`memory_for` needs explicit
+        dropping.
         """
         self._profiles[workload] = profile
-        self._memories = {
-            key: value for key, value in self._memories.items()
-            if key[0] != workload
+        self._annotations = {
+            name: value for name, value in self._annotations.items()
+            if name[0] != workload
         }
 
     def trace(self, workload: str, variant: str = "pc") -> List[Instruction]:
@@ -153,7 +160,8 @@ class Workbench:
             "trace", profile, self.settings.total, self.settings.seed, variant,
         )
         return self.artifacts.get_or_create(
-            "trace", key, lambda: self._build_trace(workload, profile, variant),
+            "trace", key,
+            lambda: ColumnarTrace(self._build_trace(workload, profile, variant)),
         )
 
     def _build_trace(
@@ -200,16 +208,18 @@ class Workbench:
             self.settings.seed, variant, config, sharing, tag,
             predictor_config,
         )
-        annotated, memory = self.artifacts.get_or_create(
-            "annotation", key,
-            lambda: self._build_annotation(
-                workload, variant, config, sharing, profile,
-            ),
-        )
-        # memory_for looks up by name (tags carry the human-readable
-        # discrimination there); repopulated even on a persistent hit.
-        self._memories[(workload, variant, tag, sharing)] = memory
-        return annotated
+        build_args = (workload, variant, config, sharing, profile)
+
+        def annotate() -> ColumnarAnnotation:
+            # The memory system that produced the annotation is stored
+            # under its own kind, so a run that only simulates never loads
+            # it; memory_for does, on demand.
+            annotated, memory = self._build_annotation(*build_args)
+            self.artifacts.put("memory", key, memory)
+            return ColumnarAnnotation(annotated)
+
+        self._annotations[(workload, variant, tag, sharing)] = (key, build_args)
+        return self.artifacts.get_or_create("annotation", key, annotate)
 
     def _build_annotation(
         self,
@@ -254,13 +264,20 @@ class Workbench:
         sharing: SharingSettings | None = None,
         tag: str = "",
     ) -> MemorySystem:
-        """The memory system that produced an annotation (for its counters)."""
-        key = (workload, variant, tag, sharing)
-        if key not in self._memories:
+        """The memory system that produced an annotation (for its counters).
+
+        Loaded lazily from the ``memory`` artifact the annotation's build
+        stored; rebuilt (with its annotation) if that entry is gone.
+        """
+        name = (workload, variant, tag, sharing)
+        if name not in self._annotations:
             raise KeyError(
-                f"annotate {key} first via Workbench.annotated(...)"
+                f"annotate {name} first via Workbench.annotated(...)"
             )
-        return self._memories[key]
+        key, build_args = self._annotations[name]
+        return self.artifacts.get_or_create(
+            "memory", key, lambda: self._build_annotation(*build_args)[1],
+        )
 
     # -- simulation ---------------------------------------------------------------
 

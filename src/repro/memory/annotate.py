@@ -56,14 +56,40 @@ class AccessInfo:
 #: The simulator's input form: measured instructions with their classification.
 AnnotatedTrace = List[Tuple[Instruction, AccessInfo]]
 
-_NO_ACCESS = AccessInfo()
+#: Interning table for the 32 possible flag combinations, indexed by
+#: :func:`access_index`.  Annotated traces are held for the lifetime of a
+#: sweep (and cached across sweep points by the harness/engine caches), so
+#: sharing one immutable record per classification keeps millions of
+#: per-instruction annotations from each carrying their own object.  The
+#: columnar artifact codec (:mod:`repro.trace.columns`) stores the index.
+ACCESS_INFOS: Tuple[AccessInfo, ...] = tuple(
+    AccessInfo(*(bool(index >> bit & 1) for bit in range(5)))
+    for index in range(32)
+)
 
-#: Interning table for the ≤32 possible flag combinations.  Annotated
-#: traces are held for the lifetime of a sweep (and cached across sweep
-#: points by the harness/engine caches), so sharing one immutable record
-#: per classification keeps millions of per-instruction annotations from
-#: each carrying their own object.
-_INTERNED: dict = {}
+
+def _flags_index(
+    inst_miss: bool,
+    data_miss: bool,
+    smac_hit: bool,
+    upgrade: bool,
+    mispredicted: bool,
+) -> int:
+    return (
+        (1 if inst_miss else 0)
+        | (2 if data_miss else 0)
+        | (4 if smac_hit else 0)
+        | (8 if upgrade else 0)
+        | (16 if mispredicted else 0)
+    )
+
+
+def access_index(info: AccessInfo) -> int:
+    """The position of *info*'s flag combination in :data:`ACCESS_INFOS`."""
+    return _flags_index(
+        info.inst_miss, info.data_miss, info.smac_hit, info.upgrade,
+        info.mispredicted,
+    )
 
 
 def annotate_trace(
@@ -131,17 +157,6 @@ def _classify(
         data_miss = outcome.off_chip
     elif is_control(kind) and predictor is not None:
         mispredicted = predictor.observe(inst)
-    if not (inst_miss or data_miss or smac_hit or upgrade or mispredicted):
-        return _NO_ACCESS
-    key = (inst_miss, data_miss, smac_hit, upgrade, mispredicted)
-    info = _INTERNED.get(key)
-    if info is None:
-        info = AccessInfo(
-            inst_miss=inst_miss,
-            data_miss=data_miss,
-            smac_hit=smac_hit,
-            upgrade=upgrade,
-            mispredicted=mispredicted,
-        )
-        _INTERNED[key] = info
-    return info
+    return ACCESS_INFOS[
+        _flags_index(inst_miss, data_miss, smac_hit, upgrade, mispredicted)
+    ]

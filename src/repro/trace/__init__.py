@@ -2,7 +2,8 @@
 
 A *trace* is any iterable of :class:`~repro.isa.Instruction`.  This package
 provides binary persistence (:mod:`~repro.trace.reader` /
-:mod:`~repro.trace.writer`), composable stream utilities
+:mod:`~repro.trace.writer`), the columnar pickled form of cached traces
+(:mod:`~repro.trace.columns`), composable stream utilities
 (:mod:`~repro.trace.stream`), whole-trace statistics used for the paper's
 Table 1 (:mod:`~repro.trace.stats`) and generic instruction-level rewriting
 (:mod:`~repro.trace.transform`).
